@@ -148,13 +148,6 @@ class FileStore:
         elif journal is False:
             journal = None
         self.journal: ParityIntentJournal | None = journal
-        #: optional per-store :class:`~repro.engine.backends.RegionArena`
-        #: for flush delta batches (a service shard pins its own so its
-        #: segments stay warm); None borrows the parallel backend's.
-        self.arena = None
-        #: worker-affinity hint forwarded to pooled backends (set by
-        #: :class:`~repro.service.pool.VolumePool` per shard).
-        self.backend_affinity: int | None = None
         #: crash-harness trampoline: called with a site label at every
         #: durable-I/O boundary (see :mod:`repro.faults.crash`).
         self._crash_hook = None
@@ -875,40 +868,6 @@ class FileStore:
         self._maybe_checkpoint()
         return flushed
 
-    def _resolved_backend(self):
-        """The :class:`~repro.engine.backends.KernelBackend` this store's
-        ``engine=`` resolves to, or None for the python/vector paths."""
-        if self.engine in ("python", "vector"):
-            return None
-        from ..engine.backends import resolve_backend
-
-        return resolve_backend(self.engine)
-
-    def _lease_delta_batch(self, count: int):
-        """A delta batch for one flush group, arena-backed when the
-        resolved backend executes over shared memory.
-
-        Returns ``(batch, lease)``; the lease is None for a plain numpy
-        batch.  An arena-resident batch is what lets the parallel
-        backend's workers run the update plan with zero copy-in/out.
-        """
-        backend = self._resolved_backend()
-        if backend is not None and backend.name == "parallel":
-            arena = self.arena if self.arena is not None else backend.arena
-            return arena.lease_batch(
-                self.code.rows,
-                self.code.cols,
-                self.element_size,
-                count,
-                stats=self.stats,
-            )
-        return (
-            StripeBatch(
-                self.code.rows, self.code.cols, self.element_size, count
-            ),
-            None,
-        )
-
     def _flush_group_rmw(
         self,
         pattern: tuple[int, ...],
@@ -917,19 +876,18 @@ class FileStore:
     ) -> None:
         """One update plan over a batch of same-pattern stripe deltas.
 
-        Three executions, picked by the resolved backend: the native
+        Two executions, picked by the resolved backend: the native
         backend fuses delta build + plan + parity fold into one C call
         per stripe (:meth:`~repro.engine.backends.NativeBackend.execute_update`);
-        the parallel backend runs the plan over an *arena-resident*
-        delta batch (workers mutate shared memory in place, no per-call
-        copies); everything else builds a plain numpy delta batch and
-        executes through the registry.
+        the vector backend builds a plain numpy delta batch, runs the
+        plan over it and folds it in with ``apply_update``.
         """
-        from ..engine.executor import apply_update, execute_plan
+        from ..engine.backends import resolve_backend
+        from ..engine.executor import apply_update
 
         cells = [divmod(slot, self.code.cols) for slot in pattern]
-        backend = self._resolved_backend()
-        if backend is not None and hasattr(backend, "execute_update"):
+        backend = resolve_backend(self.engine)
+        if hasattr(backend, "execute_update"):
             for idx, entry in group:
                 old = {
                     r * self.code.cols + c: entry.old[(r, c)]
@@ -939,31 +897,22 @@ class FileStore:
                     plan, self.stripes[idx], old, stats=self.stats
                 )
         else:
-            delta, lease = self._lease_delta_batch(len(group))
-            try:
-                for i, (idx, entry) in enumerate(group):
-                    live = self.stripes[idx].data
-                    for pos in cells:
-                        np.bitwise_xor(
-                            live[pos], entry.old[pos], out=delta.data[i][pos]
-                        )
-                execute_plan(
-                    plan,
-                    delta,
-                    stats=self.stats,
-                    backend=self.engine,
-                    affinity=self.backend_affinity,
-                )
-                apply_update(
-                    plan,
-                    delta,
-                    [self.stripes[idx] for idx, _ in group],
-                    stats=self.stats,
-                )
-            finally:
-                del delta  # release the view before the lease recycles
-                if lease is not None:
-                    lease.release()
+            delta = StripeBatch(
+                self.code.rows, self.code.cols, self.element_size, len(group)
+            )
+            for i, (idx, entry) in enumerate(group):
+                live = self.stripes[idx].data
+                for pos in cells:
+                    np.bitwise_xor(
+                        live[pos], entry.old[pos], out=delta.data[i][pos]
+                    )
+            backend.execute(plan, delta, stats=self.stats)
+            apply_update(
+                plan,
+                delta,
+                [self.stripes[idx] for idx, _ in group],
+                stats=self.stats,
+            )
         self._crash_point("parity-write")
         outputs = [divmod(slot, self.code.cols) for slot in plan.outputs]
         for idx, _ in group:

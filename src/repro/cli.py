@@ -16,6 +16,7 @@ import sys
 import time
 
 from .codes.registry import available_codes, get_code
+from .engine import ENGINE_CHOICES
 from .experiments.runner import (
     EXPERIMENTS,
     render_results,
@@ -238,13 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backends",
         action="store_true",
         help="add the kernel-backend sweep: every available backend "
-        "(vector/fused/parallel/native) times identical pre-built regions",
-    )
-    bench.add_argument(
-        "--threads",
-        default=None,
-        help="comma-separated worker counts for the parallel backend "
-        "(default: 1 and the host cpu count)",
+        "(vector/native) times identical pre-built regions",
     )
     bench.add_argument(
         "--sweep-sizes",
@@ -370,16 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--engine",
-        choices=("python", "vector", "fused", "parallel", "native", "auto"),
+        choices=ENGINE_CHOICES,
         default="vector",
         help="kernel backend every shard store runs on (timing-side "
-        "knob; the report hash never sees it)",
-    )
-    serve.add_argument(
-        "--affinity",
-        action="store_true",
-        help="pin each shard to its own resident arena and parallel-"
-        "backend worker slots",
+        "knob; --smoke accepts only the pinned default)",
     )
     serve.add_argument(
         "--smoke",
@@ -860,10 +849,6 @@ def _run_bench_engine(args: argparse.Namespace) -> int:
         kwargs["element_size"] = args.element_size
     if args.backends:
         kwargs["backends"] = True
-        if args.threads:
-            kwargs["threads"] = tuple(
-                int(t) for t in args.threads.split(",") if t
-            )
         if args.sweep_sizes:
             kwargs["sweep_sizes"] = tuple(
                 int(s) for s in args.sweep_sizes.split(",") if s
@@ -897,21 +882,6 @@ def _run_bench_engine(args: argparse.Namespace) -> int:
                 f"  {op:<15} best {best['backend']} "
                 f"{best.get('mb_per_s', 0.0):>9.1f} MB/s  "
                 f"({best['speedup_vs_vector']:.2f}x vs vector)"
-            )
-        ab = sweep.get("arena_ab")
-        if ab:
-            for row in ab["rows"]:
-                print(
-                    f"  parallel arena={row['arena']:<3} "
-                    f"{row['shm_copy_bytes_per_call']:>12.0f} shm copy "
-                    f"bytes/call  {row['mb_per_s']:>9.1f} MB/s  "
-                    f"(match={row['match']})"
-                )
-            pool = ab["pool_arena"]
-            print(
-                f"  pool arena hit rate {pool['hit_rate']:.2f} "
-                f"({pool['hits']} hits / {pool['misses']} misses, "
-                f"{pool['segments']} segments)"
             )
     return 0
 
@@ -1039,7 +1009,6 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
         headline_ops=args.headline_ops,
         smoke=args.smoke,
         engine=args.engine,
-        backend_affinity=args.affinity,
     )
     if args.json:
         rendered = json.dumps(payload, indent=2, sort_keys=True)

@@ -292,12 +292,12 @@ class ArrayCode(ABC):
     def encode(self, stripe: Stripe, *, engine: str = "python") -> None:
         """Fill every parity cell of ``stripe`` from its members.
 
-        Any compiled engine (``"vector"``, ``"fused"``, ``"parallel"``,
-        ``"native"``, ``"auto"`` — see :mod:`repro.engine.backends`)
-        routes through the plan executor: the parity schedule is
-        lowered once, cached, and run as in-place word-wide XOR
-        kernels by the selected backend.  The default ``"python"``
-        path below stays the reference implementation.
+        Any compiled engine (``"vector"``, ``"native"``, or ``"auto"``
+        — native when available, else vector; see
+        :mod:`repro.engine.backends`) routes through the plan executor:
+        the parity schedule is lowered once, cached, and run as in-place
+        word-wide XOR kernels by the selected backend.  The default
+        ``"python"`` path below stays the reference implementation.
         """
         self._check_stripe(stripe)
         from ..engine import compile_plan, execute_plan, require_engine
@@ -453,13 +453,13 @@ class ArrayCode(ABC):
         the paper's codes use), then falls back to Gaussian elimination
         over the parity-check system for anything peeling cannot reach.
 
-        Any compiled engine (``"vector"``, ``"fused"``, ``"parallel"``,
-        ``"native"``, ``"auto"``) compiles the peel schedule for this
-        erasure pattern into an :class:`~repro.engine.XorPlan` (cached
-        per pattern) and executes it with word-wide XOR kernels on the
-        selected backend.  Patterns that peeling alone cannot finish —
-        the ones that need the Gaussian reference decoder — fall back
-        to this pure-Python path transparently.
+        Any compiled engine (``"vector"``, ``"native"``, ``"auto"``)
+        compiles the peel schedule for this erasure pattern into an
+        :class:`~repro.engine.XorPlan` (cached per pattern) and executes
+        it with word-wide XOR kernels on the selected backend.  Patterns
+        that peeling alone cannot finish — the ones that need the
+        Gaussian reference decoder — fall back to this pure-Python path
+        transparently.
 
         Raises :class:`UnrecoverableFailureError` when the pattern
         exceeds the code's capability.

@@ -4,25 +4,18 @@ Every site that accepted ``engine="python" | "vector"`` now accepts any
 registered backend name, plus ``"auto"``.  Backends are *execution
 strategies only*: they consume the same compiled, hash-pinned
 :class:`~repro.engine.plan.XorPlan` IR and differ solely in how the
-kernels are issued.  The registry ships four:
+kernels are issued.  The registry ships two:
 
 ``vector``
     The classic per-step executor (:func:`repro.engine.executor.execute_plan`)
     — one numpy kernel per XOR source, ``groups`` thread fan-out.
-``fused``
-    Tiled whole-region execution; the plan runs L2-block by L2-block so
-    steps reuse cache-resident data (:mod:`.fused`).
-``parallel``
-    The fused executor sharded across a persistent process pool over
-    ``multiprocessing.shared_memory``, word-axis split so the result is
-    byte-identical regardless of worker count (:mod:`.parallel`).
 ``native``
     A C inner loop compiled on first use via ``ctypes``; optional —
     :meth:`~.base.KernelBackend.available` is False without a host
     compiler (:mod:`.native`).
 
 ``"auto"`` resolves down the fallback ladder: ``native`` if available,
-else ``fused``.  ``"python"`` remains the scalar/reference path and is
+else ``vector``.  ``"python"`` remains the scalar/reference path and is
 handled by the callers themselves (codes, stores), not by a backend.
 """
 
@@ -32,11 +25,8 @@ from typing import TYPE_CHECKING
 
 from ...exceptions import InvalidParameterError
 from .. import executor as _executor
-from .arena import RegionArena, RegionLease, find_resident
 from .base import KernelBackend, Target, charge_stats, split_targets
-from .fused import FusedBackend
 from .native import NativeBackend
-from .parallel import ParallelBackend, configure_backend, shutdown_parallel_pool
 
 if TYPE_CHECKING:
     from ...array.iostats import IOStats
@@ -46,21 +36,14 @@ __all__ = [
     "KernelBackend",
     "Target",
     "VectorBackend",
-    "FusedBackend",
-    "ParallelBackend",
     "NativeBackend",
-    "RegionArena",
-    "RegionLease",
     "ENGINE_CHOICES",
     "available_backends",
     "charge_stats",
-    "configure_backend",
-    "find_resident",
     "get_backend",
     "register_backend",
     "require_engine",
     "resolve_backend",
-    "shutdown_backends",
     "split_targets",
 ]
 
@@ -77,7 +60,6 @@ class VectorBackend(KernelBackend):
         *,
         stats: "IOStats | None" = None,
         workers: int | None = None,
-        affinity: int | None = None,
     ) -> None:
         _executor.execute_plan(plan, target, stats=stats, workers=workers)
 
@@ -97,13 +79,11 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 
 register_backend(VectorBackend())
-register_backend(FusedBackend())
-register_backend(ParallelBackend())
 register_backend(NativeBackend())
 
 #: Every value the ``engine=`` seam accepts.  ``python`` is the scalar
 #: reference path (no backend object); the rest resolve here.
-ENGINE_CHOICES = ("python", "vector", "fused", "parallel", "native", "auto")
+ENGINE_CHOICES = ("python", "vector", "native", "auto")
 
 
 def available_backends() -> tuple[str, ...]:
@@ -127,12 +107,12 @@ def resolve_backend(engine: str) -> KernelBackend:
     """Map an ``engine=`` string to the backend that will execute.
 
     ``"auto"`` walks the fallback ladder — ``native`` when the host can
-    compile it, else ``fused``.  Asking for an unavailable backend by
+    compile it, else ``vector``.  Asking for an unavailable backend by
     its explicit name is an error (the caller opted out of fallback).
     """
     if engine == "auto":
         native = _REGISTRY["native"]
-        return native if native.available() else _REGISTRY["fused"]
+        return native if native.available() else _REGISTRY["vector"]
     backend = get_backend(engine)
     if not backend.available():
         raise InvalidParameterError(
@@ -154,14 +134,3 @@ def require_engine(engine: str) -> str:
             f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
         )
     return engine
-
-
-def shutdown_backends() -> None:
-    """Release pooled resources (worker processes, executor threads,
-    arena shared-memory segments)."""
-    shutdown_parallel_pool()
-    _executor.shutdown_executor_pool()
-    for backend in _REGISTRY.values():
-        arena = getattr(backend, "arena", None)
-        if arena is not None:
-            arena.close()

@@ -2,10 +2,9 @@
 
 A :class:`KernelBackend` is an *execution strategy* for a compiled
 :class:`~repro.engine.plan.XorPlan`: same IR in, same bytes out, only
-the kernel shape differs (per-step numpy calls, fused tiled regions,
-a native C inner loop, a shared-memory process pool).  Backends never
-touch the compiler or the plan — the plan-hash pins stay untouched by
-construction — and every backend must:
+the kernel shape differs (per-step numpy calls or a native C inner
+loop).  Backends never touch the compiler or the plan — the plan-hash
+pins stay untouched by construction — and every backend must:
 
 - be **byte-identical** to the scalar oracle
   (:func:`~repro.engine.executor.execute_plan_scalar`) for any target
@@ -61,15 +60,8 @@ class KernelBackend:
         *,
         stats: "IOStats | None" = None,
         workers: int | None = None,
-        affinity: int | None = None,
     ) -> None:
-        """Run ``plan`` in place on ``target`` (see module contract).
-
-        ``affinity`` is an optional integer hint identifying the caller
-        (e.g. a service shard) so pooled backends can keep routing its
-        regions to the same warm resources; backends without pooled
-        state ignore it.
-        """
+        """Run ``plan`` in place on ``target`` (see module contract)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -103,8 +95,9 @@ def charge_stats(
     ``buf`` is the word (or uint8-fallback) view the region ran over;
     XOR work is normalized to 64-bit words exactly like the vector
     executor so the counter has one unit regardless of backend or
-    dtype path.  ``kernels`` is backend-specific: fused reductions for
-    the region backends, ufunc invocations for the vector path.
+    dtype path.  ``kernels`` is backend-specific: fused multi-source
+    reductions for the native backend, ufunc invocations for the
+    vector path.
     """
     if stats is None:
         return

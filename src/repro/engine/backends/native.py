@@ -15,7 +15,7 @@ compiled with whatever ``cc``/``gcc``/``clang`` the host has, at first
 use, into a per-process temporary directory.  No compiler, a failed
 compile, or ``REPRO_DISABLE_NATIVE=1`` in the environment all make
 :meth:`NativeBackend.available` report False and the registry's
-``auto`` resolution falls back to the fused numpy backend — presence
+``auto`` resolution falls back to the vector numpy backend — presence
 of the backend can never be a correctness or import-time concern.
 
 The kernel is byte-oriented (sizes and strides in bytes), so the
@@ -46,7 +46,8 @@ if TYPE_CHECKING:
     from ...array.stripe import Stripe
     from ..plan import XorPlan
 
-#: Per-cell tile budget in bytes (same heuristic as the fused backend).
+#: Per-cell tile budget in bytes: each pass keeps one tile of every
+#: live cell cache-resident across the whole schedule.
 NATIVE_TILE_BYTES = 128 * 1024
 
 _C_SOURCE = r"""
@@ -244,13 +245,11 @@ class NativeBackend(KernelBackend):
         *,
         stats: "IOStats | None" = None,
         workers: int | None = None,
-        affinity: int | None = None,
     ) -> None:
         """Run the whole schedule in one C call per contiguous region.
 
-        ``workers`` and ``affinity`` are accepted for seam
-        compatibility and ignored (the native loop is single-thread;
-        the ``parallel`` backend layers multi-core on top).
+        ``workers`` is accepted for seam compatibility and ignored (the
+        native loop is single-thread).
         """
         fn = _kernel()
         if fn is None:

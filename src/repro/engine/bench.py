@@ -23,13 +23,12 @@ picks on this host — is also timed, and the headline
 ``speedup_vs_python_element`` is quoted against it, since it is the
 path a caller who does not choose gets.
 
-:func:`run_backend_sweep` adds the backend × threads × region-size
-grid: every available backend executes the *same pre-built region*
-(timing covers plan execution only, no stripe copies or erasure
-bookkeeping inside the timed loop) and each row quotes its speedup
-against the single-thread ``vector`` path on the identical region.
-``cpu_count`` is recorded in the payload — multi-core rows on a
-one-core host are expected to show ~1x and that is the honest number.
+:func:`run_backend_sweep` adds the backend × region-size grid:
+every available backend executes the *same pre-built region* (timing
+covers plan execution only, no stripe copies or erasure bookkeeping
+inside the timed loop) and each row quotes its speedup against the
+``vector`` path on the identical region.  ``cpu_count`` is recorded in
+the payload as host context.
 """
 
 from __future__ import annotations
@@ -185,83 +184,11 @@ def _build_region(code, element_size: int, batch: int, op: str, pattern):
         for i in range(batch)
     ]
     region = StripeBatch.from_stripes(stripes)
-    execute_plan(compile_plan(code, "encode"), region, backend="fused")
+    execute_plan(compile_plan(code, "encode"), region, backend="vector")
     if op == "recover-double":
         for i in range(batch):
             region.stripe(i).erase_disks(pattern)
     return region
-
-
-def _bench_arena_ab(code, element_size: int, batch: int, repeats: int) -> dict:
-    """A/B the parallel backend with and without a resident arena region.
-
-    Both sides execute the identical encode plan over byte-identical
-    regions through the worker pool (``min_parallel_bytes`` forced to 0
-    and two chunks so even the smoke size takes the shared-memory
-    path).  The ``off`` side is a plain numpy region — every call pays
-    a copy in and a copy out of a pooled segment — while the ``on``
-    side is a :meth:`RegionArena.lease_batch` region the workers mutate
-    in place, so its per-call ``shm_copy_bytes`` must be exactly zero.
-    That zero is the acceptance number; ``match`` double-checks both
-    sides still produced the same bytes.
-    """
-    import numpy as np
-
-    from ..array.iostats import IOStats
-    from . import backends as backends_pkg
-    from .backends import parallel as parallel_mod
-    from .backends.arena import RegionArena
-
-    plan = compile_plan(code, "encode")
-    base = _build_region(code, element_size, batch, "encode", ())
-    region_bytes = batch * code.rows * code.cols * element_size
-    backend = backends_pkg.resolve_backend("parallel")
-    calls = max(repeats, 3)
-    saved = dict(parallel_mod._CONFIG)
-    parallel_mod.configure_backend(min_parallel_bytes=0, workers=2)
-    arena = RegionArena()
-    rows = []
-    try:
-        resident, lease = arena.lease_batch(
-            code.rows, code.cols, element_size, batch
-        )
-        np.copyto(resident.data, base.data)
-        resident.erased[:] = base.erased
-        resident.latent[:] = base.latent
-        for mode, target in (("off", base), ("on", resident)):
-            stats = IOStats(code.cols)
-            t0 = time.perf_counter()
-            for _ in range(calls):
-                backend.execute(plan, target, stats=stats)
-            seconds = time.perf_counter() - t0
-            rows.append(
-                {
-                    "code": code.name,
-                    "op": "encode",
-                    "element_size": element_size,
-                    "batch": batch,
-                    "region_bytes": region_bytes,
-                    "arena": mode,
-                    "calls": calls,
-                    "seconds_per_call": seconds / calls,
-                    "mb_per_s": _mb_per_s(region_bytes, calls, seconds),
-                    "shm_copy_bytes_per_call": stats.shm_copy_bytes / calls,
-                    "arena_hits": stats.arena_hits,
-                    "arena_misses": stats.arena_misses,
-                }
-            )
-        match = bool(np.array_equal(base.data, resident.data))
-        for row in rows:
-            row["match"] = match
-        del resident
-        lease.release()
-    finally:
-        parallel_mod._CONFIG.update(saved)
-        arena.close()
-    return {
-        "rows": rows,
-        "pool_arena": backend.arena.stats(),
-    }
 
 
 def run_backend_sweep(
@@ -270,7 +197,6 @@ def run_backend_sweep(
     element_sizes: tuple[int, ...] | None = None,
     batch: int = 8,
     repeats: int = 3,
-    threads: tuple[int, ...] | None = None,
     smoke: bool = False,
 ) -> dict:
     """Time every available backend on identical pre-built regions.
@@ -280,9 +206,7 @@ def run_backend_sweep(
     clock starts, so rows measure kernel execution, not benchmark
     scaffolding.  Re-running a recovery plan on an already-repaired
     region recomputes the same bytes, which is why one region can be
-    timed repeatedly.  ``threads`` applies to the ``parallel`` backend
-    only (one row per worker count); the other backends are
-    single-thread by design.
+    timed repeatedly.
     """
     if smoke:
         codes = codes or SMOKE_CODES
@@ -291,8 +215,6 @@ def run_backend_sweep(
         batch = min(batch, 2)
     names = codes or DEFAULT_CODES
     element_sizes = element_sizes or SWEEP_ELEMENT_SIZES
-    cpus = os.cpu_count() or 1
-    threads = threads or tuple(sorted({1, cpus}))
     backends = available_backends()
     rows = []
     headline: dict[str, dict] = {}
@@ -310,60 +232,46 @@ def run_backend_sweep(
                     lambda: execute_plan(plan, region, backend="vector"), repeats
                 )
                 for backend in backends:
-                    workers_axis = threads if backend == "parallel" else (None,)
-                    for workers in workers_axis:
-                        t = _time(
-                            lambda: execute_plan(
-                                plan, region, backend=backend, workers=workers
-                            ),
-                            repeats,
-                        )
-                        row = {
-                            "code": code.name,
-                            "op": op,
-                            "element_size": element_size,
-                            "batch": batch,
-                            "region_bytes": region_bytes,
+                    t = _time(
+                        lambda: execute_plan(plan, region, backend=backend),
+                        repeats,
+                    )
+                    row = {
+                        "code": code.name,
+                        "op": op,
+                        "element_size": element_size,
+                        "batch": batch,
+                        "region_bytes": region_bytes,
+                        "backend": backend,
+                        "seconds": t,
+                        "mb_per_s": _mb_per_s(region_bytes, 1, t),
+                        "speedup_vs_vector": t_vec / t,
+                    }
+                    rows.append(row)
+                    best = headline.setdefault(
+                        op, {"backend": backend, "speedup_vs_vector": 0.0}
+                    )
+                    if (
+                        backend != "vector"
+                        and row["speedup_vs_vector"] > best["speedup_vs_vector"]
+                    ):
+                        headline[op] = {
                             "backend": backend,
-                            "workers": workers,
-                            "seconds": t,
-                            "mb_per_s": _mb_per_s(region_bytes, 1, t),
-                            "speedup_vs_vector": t_vec / t,
+                            "code": code.name,
+                            "element_size": element_size,
+                            "speedup_vs_vector": row["speedup_vs_vector"],
+                            "mb_per_s": row["mb_per_s"],
                         }
-                        rows.append(row)
-                        best = headline.setdefault(
-                            op, {"backend": backend, "speedup_vs_vector": 0.0}
-                        )
-                        if (
-                            backend != "vector"
-                            and row["speedup_vs_vector"]
-                            > best["speedup_vs_vector"]
-                        ):
-                            headline[op] = {
-                                "backend": backend,
-                                "code": code.name,
-                                "element_size": element_size,
-                                "workers": workers,
-                                "speedup_vs_vector": row["speedup_vs_vector"],
-                                "mb_per_s": row["mb_per_s"],
-                            }
                 del region
-    arena_ab = None
-    if "parallel" in backends:
-        arena_ab = _bench_arena_ab(
-            get_code(names[0], p), element_sizes[0], batch, repeats
-        )
     return {
-        "cpu_count": cpus,
+        "cpu_count": os.cpu_count() or 1,
         "backends": list(backends),
         "auto_resolves_to": resolve_backend("auto").name,
-        "threads": list(threads),
         "element_sizes": list(element_sizes),
         "batch": batch,
         "repeats": repeats,
         "rows": rows,
         "headline": headline,
-        "arena_ab": arena_ab,
     }
 
 
@@ -375,14 +283,12 @@ def run_engine_benchmark(
     repeats: int = 3,
     smoke: bool = False,
     backends: bool = False,
-    threads: tuple[int, ...] | None = None,
     sweep_sizes: tuple[int, ...] | None = None,
 ) -> dict:
     """Sweep the engine benchmark and return the BENCH_engine payload.
 
     ``backends=True`` appends the :func:`run_backend_sweep` grid under
-    the ``backend_sweep`` key; ``threads`` and ``sweep_sizes`` shape
-    that grid.
+    the ``backend_sweep`` key; ``sweep_sizes`` shapes that grid.
     """
     if smoke:
         codes = codes or SMOKE_CODES
@@ -416,7 +322,6 @@ def run_engine_benchmark(
             element_sizes=sweep_sizes,
             batch=batch,
             repeats=repeats,
-            threads=threads,
             smoke=smoke,
         )
     return payload

@@ -25,10 +25,9 @@ assert it):
 Element sizes that are not a multiple of 8 fall back from the
 ``uint64`` view to a ``uint8`` view transparently.
 
-Further execution strategies — fused tiled regions, a shared-memory
-process pool, a compiled C inner loop — live in
-:mod:`repro.engine.backends` and are reachable here through
-``execute_plan(..., backend=...)`` or directly via the registry.
+The compiled C inner loop lives in :mod:`repro.engine.backends` and is
+reachable here through ``execute_plan(..., backend=...)`` or directly
+via the registry.
 """
 
 from __future__ import annotations
@@ -106,24 +105,21 @@ def execute_plan(
     stats: "IOStats | None" = None,
     workers: int | None = None,
     backend: str | None = None,
-    affinity: int | None = None,
 ) -> None:
     """Execute ``plan`` in place on a stripe, batch, or list of stripes.
 
     ``stats`` (an :class:`~repro.array.iostats.IOStats`) accumulates
     the word-XOR and kernel-invocation counts of the run.  ``workers``
     enables the parallel path for plans with independent groups.
-    ``backend`` selects a registered kernel backend by name (``fused``,
-    ``parallel``, ``native``, ``auto``); ``None`` or ``"vector"`` runs
-    the classic per-step path below.  ``affinity`` is forwarded to
-    pooled backends so a caller (e.g. a service shard) keeps hitting
-    the same warm workers; the classic path ignores it.
+    ``backend`` selects a registered kernel backend by name
+    (``native``, ``auto``); ``None`` or ``"vector"`` runs the classic
+    per-step path below.
     """
     if backend is not None and backend != "vector":
         from .backends import resolve_backend
 
         resolve_backend(backend).execute(
-            plan, target, stats=stats, workers=workers, affinity=affinity
+            plan, target, stats=stats, workers=workers
         )
         return
     if isinstance(target, Stripe):

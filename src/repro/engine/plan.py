@@ -165,7 +165,7 @@ class XorPlan:
 
     @property
     def fused_kernel_calls(self) -> int:
-        """Kernel invocations under the fused backends: one multi-source
+        """Kernel invocations under the native backend: one multi-source
         reduction per destination, however many sources a step has.
         Always ≤ :attr:`kernel_calls`; the gap is the dispatch overhead
         fusion eliminates.  A cost-model property only — not part of

@@ -34,7 +34,7 @@ import hashlib
 import json
 from collections.abc import Sequence
 
-from ..exceptions import CertificationError
+from ..exceptions import CertificationError, InvalidParameterError
 from ..utils import resolve_rng
 from ..workloads.service import ServiceTrace, service_trace
 from .pool import VolumePool
@@ -75,18 +75,15 @@ def run_serve_bench(
     headline_ops: int = 0,
     smoke: bool = False,
     engine: str = "vector",
-    backend_affinity: bool = False,
 ) -> dict:
     """Run the serving benchmark per code; return the hashable payload.
 
     ``headline_ops`` > 0 appends one extra HV run at that trace length
     (the acceptance-scale configuration); smoke mode pins everything to
     the small SMOKE constants.  ``engine=`` selects the kernel backend
-    every shard store runs on and ``backend_affinity=`` pins each shard
-    to its own arena + worker slots; both land in the *timing* half of
-    the report (execution strategy, not op mix), and smoke mode forces
-    the pinned ``vector``/off configuration so the report hash stays
-    comparable across hosts.
+    every shard store runs on and lands in the *timing* half of the
+    report.  The pinned smoke hash is a ``vector`` run, so smoke mode
+    rejects any other engine rather than silently ignoring it.
     """
     # Deferred: the registry pulls in every code class, and importing
     # it at module scope closes a codes -> service cycle.
@@ -94,11 +91,14 @@ def run_serve_bench(
     from ..engine import require_engine
 
     if smoke:
+        if engine != "vector":
+            raise InvalidParameterError(
+                f"serve-bench --smoke pins engine='vector'; got {engine!r}"
+            )
         codes, p, ops, seed = SMOKE_CODES, SMOKE_P, SMOKE_OPS, SMOKE_SEED
         num_stripes, num_shards, workers = 16, 2, 2
         element_size, cache_stripes, queue_depth = 64, 4, 64
         headline_ops = 0
-        engine, backend_affinity = "vector", False
     elif codes is None:
         codes = available_codes()
     engine = require_engine(engine)
@@ -117,14 +117,11 @@ def run_serve_bench(
         num_clients=num_clients,
         seed=seed,
     )
-    entries = [
-        _serve_one(name, dict(cfg), engine, backend_affinity)
-        for name in codes
-    ]
+    entries = [_serve_one(name, dict(cfg), engine) for name in codes]
     headline = None
     if headline_ops:
         head_cfg = dict(cfg, ops=headline_ops)
-        headline = _serve_one("HV", head_cfg, engine, backend_affinity)
+        headline = _serve_one("HV", head_cfg, engine)
     payload = {
         "bench": "serve",
         **cfg,
@@ -132,7 +129,7 @@ def run_serve_bench(
         "headline_ops": headline_ops,
         # Execution strategy lives in a timing subtree: stripped from
         # the report hash, so engine choice can't drift the pin.
-        "timing": {"engine": engine, "backend_affinity": backend_affinity},
+        "timing": {"engine": engine},
         "codes": entries,
         "headline": headline,
         "all_ok": all(
@@ -144,14 +141,9 @@ def run_serve_bench(
     return payload
 
 
-def _serve_one(
-    code_name: str,
-    cfg: dict,
-    engine: str = "vector",
-    backend_affinity: bool = False,
-) -> dict:
+def _serve_one(code_name: str, cfg: dict, engine: str = "vector") -> dict:
     """Both phases plus the differential oracle for one code."""
-    probe = _make_pool(code_name, cfg, engine, backend_affinity)
+    probe = _make_pool(code_name, cfg, engine)
     bps = probe.bytes_per_stripe
     trace = service_trace(
         cfg["num_stripes"],
@@ -172,14 +164,14 @@ def _serve_one(
     digest_a = pool_a.content_digest()
 
     # The differential oracle: single-threaded replay, no scheduler.
-    pool_o = _make_pool(code_name, cfg, engine, backend_affinity)
+    pool_o = _make_pool(code_name, cfg, engine)
     _replay_single(pool_o, trace, block)
     pool_o.flush_all()
     oracle_match = pool_o.content_digest() == digest_a
     ledger_match = _io_dict(pool_o) == _io_dict(pool_a)
 
     # Phase 2: the same trace with a mid-stream failure + rebuild.
-    pool_b = _make_pool(code_name, cfg, engine, backend_affinity)
+    pool_b = _make_pool(code_name, cfg, engine)
     stats_b = _serve_trace(
         pool_b, trace, block, cfg, fail_at=cfg["ops"] // 2
     )
@@ -209,12 +201,7 @@ def _serve_one(
     }
 
 
-def _make_pool(
-    code_name: str,
-    cfg: dict,
-    engine: str = "vector",
-    backend_affinity: bool = False,
-) -> VolumePool:
+def _make_pool(code_name: str, cfg: dict, engine: str = "vector") -> VolumePool:
     return VolumePool(
         code_name,
         cfg["p"],
@@ -224,7 +211,6 @@ def _make_pool(
         policy=cfg["policy"],
         engine=engine,
         cache_stripes=cfg["cache_stripes"],
-        backend_affinity=backend_affinity,
     )
 
 

@@ -39,11 +39,10 @@ class VolumePool:
     """A fixed-size volume sharded over independent FileStores.
 
     ``engine=`` accepts any kernel-backend name from
-    :data:`repro.engine.ENGINE_CHOICES` (``vector``, ``fused``,
-    ``parallel``, ``native``, ``auto``, or the pure-Python reference
-    path) and applies it to every shard's store, so encode, flush, and
-    rebuild work inside the shard workers all run on the selected
-    backend.
+    :data:`repro.engine.ENGINE_CHOICES` (``vector``, ``native``,
+    ``auto``, or the pure-Python reference path) and applies it to
+    every shard's store, so encode, flush, and rebuild work inside the
+    shard workers all run on the selected backend.
     """
 
     def __init__(
@@ -58,7 +57,6 @@ class VolumePool:
         engine: str = "vector",
         cache_stripes: int = 0,
         journal: bool | None = None,
-        backend_affinity: bool = False,
     ) -> None:
         # Deferred: the registry pulls in every code class, and importing
         # it at module scope closes a codes -> service cycle.
@@ -81,8 +79,7 @@ class VolumePool:
         #: warm-up inside the shard's lock instead of racing across it.
         self.shards: list[FileStore] = []
         self.locks: list[ShardLock] = []
-        self.backend_affinity = bool(backend_affinity)
-        for shard_id, count in enumerate(counts):
+        for count in counts:
             code: "ArrayCode" = get_code(code_name, p)
             store = FileStore(
                 code,
@@ -91,27 +88,10 @@ class VolumePool:
                 cache_stripes=cache_stripes,
                 journal=journal,
             )
-            if self.backend_affinity:
-                self._pin_affinity(store, shard_id)
             store.reserve(count)
             self.shards.append(store)
             self.locks.append(ShardLock())
         self.bytes_per_stripe = self.shards[0].bytes_per_stripe
-
-    @staticmethod
-    def _pin_affinity(store: FileStore, shard_id: int) -> None:
-        """Give a shard's store its own arena and worker-slot hint.
-
-        The private :class:`~repro.engine.backends.RegionArena` keeps
-        the shard's flush delta segments resident (workers re-attach by
-        cached name instead of re-mapping another shard's), and the
-        affinity integer rotates the parallel backend's dispatch so the
-        shard keeps hitting the same warm worker slots.
-        """
-        from ..engine.backends import RegionArena
-
-        store.arena = RegionArena()
-        store.backend_affinity = shard_id
 
     # -- geometry ----------------------------------------------------------------
 
@@ -214,10 +194,6 @@ class VolumePool:
                     {
                         "shard": shard,
                         "engine": store.engine,
-                        "affinity": store.backend_affinity,
-                        "arena_segments": (
-                            store.arena.segment_count() if store.arena else 0
-                        ),
                         "stripes": len(store.stripes),
                         "failed_disks": sorted(store.failed_disks),
                         "reads": store.stats.total_reads,

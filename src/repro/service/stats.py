@@ -185,14 +185,8 @@ class ServiceStats:
         return out
 
     def timing_dict(self) -> dict:
-        """The measured half: wall clock, throughput, percentiles.
-
-        Arena/shared-memory counters live here, not in the hashed half:
-        they depend on which backend served the run (segment reuse,
-        copy elision), exactly the kind of execution detail the pinned
-        op-mix hash must stay blind to.
-        """
-        out = {
+        """The measured half: wall clock, throughput, percentiles."""
+        return {
             "wall_seconds": self.wall_seconds,
             "ops_per_second": self.ops_per_second,
             "expired": self.statuses.get("expired", 0),
@@ -205,14 +199,6 @@ class ServiceStats:
                 if samples
             },
         }
-        if self.io is not None:
-            out["arena"] = {
-                "hits": self.io.arena_hits,
-                "misses": self.io.arena_misses,
-                "resident_bytes": self.io.arena_resident_bytes,
-                "shm_copy_bytes": self.io.shm_copy_bytes,
-            }
-        return out
 
     def to_dict(self) -> dict:
         return {

@@ -36,8 +36,8 @@ at the source level:
   lock"), are exempt; single-owner state carries an explicit waiver.
 - **R010** — kernel-backend hygiene: ``multiprocessing`` /
   ``shared_memory`` / ``ProcessPoolExecutor`` primitives may appear
-  only inside :mod:`repro.engine.backends` (one process-pool lifecycle
-  to audit, one shared-memory cleanup path), and a backend's
+  only inside :mod:`repro.engine.backends` (one audit surface for any
+  process pool or shared-memory segment), and a backend's
   ``execute*`` entry points must accept the ``stats`` seam so no
   kernel work runs off the :class:`~repro.array.iostats.IOStats`
   ledger.  ``ThreadPoolExecutor`` stays legal everywhere.
@@ -721,13 +721,13 @@ class StaleNoqaRule(LintRule):
 class BackendHygieneRule(LintRule):
     """R010: process-pool and shared-memory primitives stay in backends.
 
-    The kernel backends own the repo's only worker processes and
-    shared-memory segments, and both come with lifecycle obligations —
-    a persistent pool that must be shut down, segments that must be
-    unlinked exactly once, fork/spawn differences in resource
-    tracking.  Concentrating every such primitive inside
-    ``repro.engine.backends`` keeps that audit surface a single
-    package.  Three checks:
+    Worker processes and shared-memory segments come with lifecycle
+    obligations — a persistent pool that must be shut down, segments
+    that must be unlinked exactly once, fork/spawn differences in
+    resource tracking.  No shipped module uses them today; should a
+    kernel backend ever need one, concentrating every such primitive
+    inside ``repro.engine.backends`` keeps that audit surface a single
+    package.  Two checks:
 
     - anywhere else in the ``repro`` package, importing or calling
       ``multiprocessing`` (any submodule, ``shared_memory`` included)
@@ -737,14 +737,7 @@ class BackendHygieneRule(LintRule):
     - inside ``repro.engine.backends``, every ``execute`` /
       ``execute_*`` function must take a ``stats`` parameter, so no
       backend entry point can run kernels off the
-      :class:`~repro.array.iostats.IOStats` ledger;
-    - inside ``repro.engine.backends``, ``SharedMemory(create=True)``
-      is allowed only in the arena module — segment creation carries
-      the unlink obligation, and the pooled
-      :class:`~repro.engine.backends.arena.RegionArena` (with its
-      finalizer/atexit sweep) is the one place that discharges it.
-      Attach-by-name (no ``create=``) stays legal everywhere in the
-      package, since attachments never own the ``/dev/shm`` entry.
+      :class:`~repro.array.iostats.IOStats` ledger.
     """
 
     rule_id = "R010"
@@ -755,7 +748,6 @@ class BackendHygieneRule(LintRule):
     )
 
     ALLOWED_PREFIX = "repro.engine.backends"
-    ARENA_MODULE = "repro.engine.backends.arena"
     BANNED_IMPORT_ROOT = "multiprocessing"
     BANNED_NAMES = frozenset({"concurrent.futures.ProcessPoolExecutor"})
 
@@ -848,40 +840,10 @@ class BackendHygieneRule(LintRule):
                 )
         return out
 
-    def _check_segment_creation(self, ctx: FileContext) -> list[LintViolation]:
-        out: list[LintViolation] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = ctx.resolve_call(node.func) or ""
-            if not name.endswith("SharedMemory"):
-                continue
-            creates = any(
-                kw.arg == "create"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in node.keywords
-            )
-            if creates:
-                out.append(
-                    self.violation(
-                        ctx,
-                        node,
-                        "SharedMemory(create=True) outside the arena "
-                        "module; segment creation (and its unlink "
-                        "obligation) belongs to the pooled RegionArena in "
-                        f"{self.ARENA_MODULE}",
-                    )
-                )
-        return out
-
     def check(self, ctx: FileContext) -> list[LintViolation]:
         scope = self._scope(ctx)
         if scope == "backends":
-            out = self._check_stats_seam(ctx)
-            if ctx.module != self.ARENA_MODULE:
-                out.extend(self._check_segment_creation(ctx))
-            return out
+            return self._check_stats_seam(ctx)
         if scope == "package":
             return self._check_primitives(ctx)
         return []

@@ -137,3 +137,29 @@ class TestTraceReplay:
         results = volume.replay_write_trace(trace)
         assert len(results) == 3
         assert all(r.data_writes == 2 for r in results)
+
+
+class TestComputeCharges:
+    """Every compiled engine charges the same symbolic XOR compute; only
+    the python reference volume charges none."""
+
+    @staticmethod
+    def _charges(engine):
+        volume = RAID6Volume(HVCode(7), num_stripes=4, engine=engine)
+        volume.write(3, 5)
+        volume.fail_disk(1)
+        volume.read(0, 12)  # degraded: repairs charge compute
+        return volume.stats.xor_words, volume.stats.kernel_invocations
+
+    def test_compiled_engines_charge_alike(self):
+        from repro.engine import available_backends
+
+        expected = self._charges("vector")
+        assert expected == (16, 22)
+        assert self._charges("auto") == expected
+        if "native" not in available_backends():
+            pytest.skip("no C compiler on this host")
+        assert self._charges("native") == expected
+
+    def test_python_engine_charges_no_compute(self):
+        assert self._charges("python") == (0, 0)

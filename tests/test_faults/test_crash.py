@@ -220,7 +220,7 @@ class TestCrashAcrossBackends:
     recovery must be byte-identical whichever backend executed the
     parity math before the crash."""
 
-    @pytest.mark.parametrize("engine", ["fused", "native"])
+    @pytest.mark.parametrize("engine", ["vector", "native"])
     def test_sampled_boundaries_recover_byte_identically(self, engine):
         from repro.engine.backends import available_backends
 

@@ -127,58 +127,3 @@ class TestSnapshots:
 
     def test_repr(self):
         assert "shards=2" in repr(small_pool())
-
-
-class TestBackendAffinity:
-    def test_affinity_gives_each_shard_a_private_arena(self):
-        from repro.engine.backends import RegionArena
-
-        pool = small_pool(engine="parallel", backend_affinity=True)
-        try:
-            arenas = set()
-            for shard_id, store in enumerate(pool.shards):
-                assert isinstance(store.arena, RegionArena)
-                assert store.backend_affinity == shard_id
-                arenas.add(id(store.arena))
-            assert len(arenas) == len(pool.shards)  # no shared arena
-            rows = pool.shard_stats()
-            for shard_id, row in enumerate(rows):
-                assert row["engine"] == "parallel"
-                assert row["affinity"] == shard_id
-                assert row["arena_segments"] >= 0
-        finally:
-            for store in pool.shards:
-                if store.arena is not None:
-                    store.arena.close()
-
-    def test_default_pool_has_no_affinity_state(self):
-        pool = small_pool()
-        for store in pool.shards:
-            assert store.arena is None
-            assert store.backend_affinity is None
-        rows = pool.shard_stats()
-        assert all(row["affinity"] is None for row in rows)
-        assert all(row["arena_segments"] == 0 for row in rows)
-
-    def test_affinity_pool_serves_reads_and_writes(self):
-        reference = small_pool()
-        pool = small_pool(engine="parallel", backend_affinity=True)
-        try:
-            payload = bytes(range(64))
-            offsets = (0, 3 * pool.bytes_per_stripe + 5)
-            sizes = (64, 16)
-            for target in (reference, pool):
-                for off, size in zip(offsets, sizes):
-                    shard, local = target.locate(off, size)
-                    target.write(shard, local, payload[:size])
-                target.flush_all()
-            for off, size in zip(offsets, sizes):
-                shard, local = pool.locate(off, size)
-                r_shard, r_local = reference.locate(off, size)
-                assert pool.read(shard, local, size) == reference.read(
-                    r_shard, r_local, size
-                )
-        finally:
-            for store in pool.shards:
-                if store.arena is not None:
-                    store.arena.close()
